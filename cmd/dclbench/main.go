@@ -12,9 +12,14 @@
 //	dclbench -fig 8            # transfer efficiency vs chunk size
 //	dclbench -fig all -quick   # reduced workloads
 //	dclbench -timescale 0.05   # slower, more accurate time compression
-//	dclbench -bench            # machine-readable micro-bench suite →
-//	                           # BENCH_PR7.json (see -benchout)
+//	dclbench -chaos            # mid-run daemon kill, recovery latency
+//	dclbench -serve            # serve-plane floors → BENCH_PR8.json
+//	dclbench -control -quick   # control-plane churn floors → BENCH_PR9.json
+//	dclbench -darray -quick    # halo-traffic floors → BENCH_PR10.json
 //	dclbench -cpuprofile p.out # CPU profile of any of the above
+//
+// Micro-benchmarks and their floors are Go benchmarks and tests in the
+// root module (go test -bench .), run by the CI workflow.
 package main
 
 import (
@@ -33,8 +38,6 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced workload sizes")
 	timescale := flag.Float64("timescale", 0.02, "time compression factor (modeled seconds × factor = real seconds)")
 	verbose := flag.Bool("v", false, "progress logging")
-	bench := flag.Bool("bench", false, "run the micro-benchmark suite and emit machine-readable JSON")
-	benchout := flag.String("benchout", "BENCH_PR7.json", "output path for -bench results")
 	chaosSmoke := flag.Bool("chaos", false, "run the daemon-failure recovery smoke (mid-run kill + recovery latency)")
 	serveBench := flag.Bool("serve", false, "run the serve-plane benchmark (1k clients, batching vs per-job, warm cache)")
 	serveout := flag.String("serveout", "BENCH_PR8.json", "output path for -serve results")
@@ -98,14 +101,6 @@ func main() {
 	if *controlBench {
 		if err := runControlBench(*controlout, *quick); err != nil {
 			fmt.Fprintf(os.Stderr, "control bench failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *bench {
-		if err := runBenchSuite(*benchout); err != nil {
-			fmt.Fprintf(os.Stderr, "bench suite failed: %v\n", err)
 			os.Exit(1)
 		}
 		return

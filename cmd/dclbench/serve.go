@@ -34,6 +34,21 @@ import (
 // regress: batched >= 3x unbatched jobs/s, batched p99 bounded,
 // warm-cache hits ship zero bytes and zero dispatches.
 
+// benchEntry is one result in the -serve JSON report. Each numeric field
+// is present only where meaningful.
+type benchEntry struct {
+	Name         string   `json:"name"`
+	ItersPS      float64  `json:"iters_per_s,omitempty"`
+	SpeedupX     float64  `json:"speedup_x,omitempty"`
+	BytesPerIter float64  `json:"bytes_per_iter,omitempty"`
+	P99Ms        *float64 `json:"p99_ms,omitempty"` // tail latency where measured
+}
+
+type benchReport struct {
+	Generated  string       `json:"generated"`
+	Benchmarks []benchEntry `json:"benchmarks"`
+}
+
 const (
 	serveClients   = 1000 // concurrent serve sessions ("clients")
 	serveConns     = 100  // physical connections they share

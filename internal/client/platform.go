@@ -133,14 +133,9 @@ func (p *Platform) connectServerAuth(addr, authID string) (*Server, error) {
 	return s, nil
 }
 
-// dialEndpoint opens a gcf endpoint to addr, preferring the in-process
-// fast path: a daemon that registered addr via ServeLocal in this
-// process is connected through a local endpoint pair (zero-copy, no
-// sockets); anything else goes through the configured Dialer.
+// dialEndpoint opens a gcf endpoint to addr through the configured
+// Dialer.
 func (p *Platform) dialEndpoint(addr string) (*gcf.Endpoint, error) {
-	if ep, ok := gcf.DialLocal(addr); ok {
-		return ep, nil
-	}
 	conn, err := p.opts.Dialer(addr)
 	if err != nil {
 		return nil, cl.Errf(cl.InvalidServer, "connecting to %s: %v", addr, err)

@@ -252,23 +252,6 @@ func (d *Daemon) ServeConn(conn net.Conn) {
 	s.start()
 }
 
-// ServeLocal publishes the daemon as an in-process server at addr:
-// clients in the same process dialing that address connect through
-// gcf's local endpoint pair — no sockets, no frame serialization, bulk
-// payloads handed across as slices (the in-process fast path). Sessions
-// created this way are indistinguishable from socket sessions to the
-// rest of the daemon. Returns an error when addr is already registered.
-func (d *Daemon) ServeLocal(addr string) error {
-	return gcf.RegisterLocal(addr, func(server *gcf.Endpoint) {
-		newSession(d, server).start()
-	})
-}
-
-// StopLocal withdraws a ServeLocal registration. Live sessions continue.
-func (d *Daemon) StopLocal(addr string) {
-	gcf.UnregisterLocal(addr)
-}
-
 // registerSession issues a session ID and records the session. IDs are
 // cryptographically random, not sequential: the re-attach handshake
 // authenticates by session ID, so a guessable counter (which also

@@ -188,3 +188,76 @@ func TestProtocolHappyPath(t *testing.T) {
 		t.Fatal("release failed")
 	}
 }
+
+// TestRequestModeEnqueueRejected: the enqueue commands and Flush exist
+// only as one-way commands. Sent as requests — even valid ones — they
+// get InvalidOperation, and the session keeps serving afterwards.
+func TestRequestModeEnqueueRejected(t *testing.T) {
+	d := testDaemon(t, false)
+	rs := newRawSession(t, d)
+	defer rs.ep.Close()
+
+	ok := func(env protocol.Envelope, what string) {
+		t.Helper()
+		if code := cl.ErrorCode(env.Body.I32()); code != cl.Success {
+			t.Fatalf("%s: %v", what, code)
+		}
+	}
+	ok(rs.call(t, 1, protocol.MsgHello, func(w *protocol.Writer) {
+		w.String("raw-client")
+		w.String("")
+	}), "hello")
+	ok(rs.call(t, 2, protocol.MsgCreateContext, func(w *protocol.Writer) {
+		w.U64(10)
+		w.U64s([]uint64{0})
+	}), "create context")
+	ok(rs.call(t, 3, protocol.MsgCreateQueue, func(w *protocol.Writer) {
+		w.U64(20)
+		w.U64(10)
+		w.U64(0)
+	}), "create queue")
+	ok(rs.call(t, 4, protocol.MsgCreateProgram, func(w *protocol.Writer) {
+		w.U64(30)
+		w.U64(10)
+		w.String("kernel void nop() { }")
+	}), "create program")
+	ok(rs.call(t, 5, protocol.MsgBuildProgram, func(w *protocol.Writer) {
+		w.U64(30)
+		w.String("")
+	}), "build program")
+	ok(rs.call(t, 6, protocol.MsgCreateKernel, func(w *protocol.Writer) {
+		w.U64(40)
+		w.U64(30)
+		w.String("nop")
+	}), "create kernel")
+
+	env := rs.call(t, 7, protocol.MsgEnqueueKernel, func(w *protocol.Writer) {
+		w.U64(20)        // queue
+		w.U64(40)        // kernel
+		w.Ints(nil)      // global offset
+		w.Ints([]int{1}) // global size
+		w.Ints(nil)      // local size
+		w.U64(0)         // event
+		w.U64s(nil)      // wait list
+	})
+	if code := cl.ErrorCode(env.Body.I32()); code != cl.InvalidOperation {
+		t.Fatalf("request-class EnqueueKernel answered %v, want InvalidOperation", code)
+	}
+	env = rs.call(t, 8, protocol.MsgFlush, func(w *protocol.Writer) { w.U64(20) })
+	if code := cl.ErrorCode(env.Body.I32()); code != cl.InvalidOperation {
+		t.Fatalf("request-class Flush answered %v, want InvalidOperation", code)
+	}
+
+	ok(rs.call(t, 9, protocol.MsgCreateQueue, func(w *protocol.Writer) {
+		w.U64(21)
+		w.U64(10)
+		w.U64(0)
+	}), "create queue after rejected requests")
+	w := protocol.NewWriter()
+	w.U64(21) // queue
+	w.U64(50) // event
+	if err := rs.ep.Send(protocol.EncodeEnvelope(protocol.ClassOneWay, 0, protocol.MsgEnqueueMarker, w)); err != nil {
+		t.Fatal(err)
+	}
+	ok(rs.call(t, 10, protocol.MsgFinish, func(w *protocol.Writer) { w.U64(21) }), "finish after one-way marker")
+}

@@ -249,7 +249,9 @@ func (s *session) resolveWaits(ids []uint64) ([]cl.Event, error) {
 // failures are pushed back as MsgCommandFailed notifications. Only the
 // command-path operations support this mode; the dispatch order relative
 // to a later Finish request is what makes Finish a correct
-// synchronization point for the whole pipeline.
+// synchronization point for the whole pipeline. The enqueue commands,
+// Flush and ReleaseKernel exist only as one-way commands: sent as
+// requests they get an InvalidOperation response.
 func (s *session) handle(msg []byte) {
 	env, err := protocol.ParseEnvelope(msg)
 	if err != nil {
@@ -295,26 +297,10 @@ func (s *session) handle(msg []byte) {
 		s.handleRelease(env.ID, false, env.Type, r.U64())
 	case protocol.MsgCreateKernel:
 		s.handleCreateKernel(env.ID, false, r)
-	case protocol.MsgReleaseKernel:
-		s.handleRelease(env.ID, false, env.Type, r.U64())
 	case protocol.MsgSetKernelArg:
 		s.handleSetKernelArg(env.ID, false, r)
-	case protocol.MsgEnqueueWrite:
-		s.handleEnqueueWrite(env.ID, false, r)
-	case protocol.MsgEnqueueRead:
-		s.handleEnqueueRead(env.ID, false, r)
-	case protocol.MsgEnqueueCopy:
-		s.handleEnqueueCopy(env.ID, false, r)
-	case protocol.MsgEnqueueKernel:
-		s.handleEnqueueKernel(env.ID, false, r)
-	case protocol.MsgEnqueueMarker:
-		s.handleEnqueueMarker(env.ID, false, r)
-	case protocol.MsgEnqueueBarrier:
-		s.handleEnqueueBarrier(env.ID, false, r)
 	case protocol.MsgFinish:
 		s.handleFinish(env.ID, r)
-	case protocol.MsgFlush:
-		s.handleFlush(env.ID, false, r)
 	case protocol.MsgCreateUserEvent:
 		s.handleCreateUserEvent(env.ID, r)
 	case protocol.MsgSetUserEventStatus:
@@ -346,19 +332,19 @@ func (s *session) handleOneWay(env protocol.Envelope) {
 	case protocol.MsgReleaseKernel:
 		s.handleRelease(0, true, protocol.MsgReleaseKernel, r.U64())
 	case protocol.MsgEnqueueWrite:
-		s.handleEnqueueWrite(0, true, r)
+		s.handleEnqueueWrite(r)
 	case protocol.MsgEnqueueRead:
-		s.handleEnqueueRead(0, true, r)
+		s.handleEnqueueRead(r)
 	case protocol.MsgEnqueueCopy:
-		s.handleEnqueueCopy(0, true, r)
+		s.handleEnqueueCopy(r)
 	case protocol.MsgEnqueueKernel:
-		s.handleEnqueueKernel(0, true, r)
+		s.handleEnqueueKernel(r)
 	case protocol.MsgEnqueueMarker:
-		s.handleEnqueueMarker(0, true, r)
+		s.handleEnqueueMarker(r)
 	case protocol.MsgEnqueueBarrier:
-		s.handleEnqueueBarrier(0, true, r)
+		s.handleEnqueueBarrier(r)
 	case protocol.MsgFlush:
-		s.handleFlush(0, true, r)
+		s.handleFlush(r)
 	case protocol.MsgForwardBuffer:
 		s.handleForwardBuffer(r)
 	case protocol.MsgAcceptForward:
@@ -907,7 +893,7 @@ func subBufferView(buf cl.Buffer, org, size int) (cl.Buffer, error) {
 	return nb.CreateSubBuffer(org, size)
 }
 
-func (s *session) handleEnqueueWrite(id uint32, oneway bool, r *protocol.Reader) {
+func (s *session) handleEnqueueWrite(r *protocol.Reader) {
 	queueID := r.U64()
 	bufID := r.U64()
 	offset := int(r.I64())
@@ -916,16 +902,14 @@ func (s *session) handleEnqueueWrite(id uint32, oneway bool, r *protocol.Reader)
 	eventID := r.U64()
 	waitIDs := r.U64s()
 	if r.Err() != nil {
-		s.badFrame(id, oneway, protocol.MsgEnqueueWrite)
+		s.badFrame(0, true, protocol.MsgEnqueueWrite)
 		return
 	}
-	// The drain is only needed in one-way mode: a request-mode client
-	// waits for the response and never ships payload after an error.
+	// The client ships the payload without waiting for a verdict: drain
+	// it so a failed write does not strand the stream.
 	failWrite := func(err error) {
-		if oneway {
-			s.drainStream(streamID)
-		}
-		s.replyErr(id, oneway, protocol.MsgEnqueueWrite, queueID, eventID, err)
+		s.drainStream(streamID)
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueWrite, err)
 	}
 	s.mu.Lock()
 	q := s.queues[queueID]
@@ -980,7 +964,7 @@ func (s *session) handleEnqueueWrite(id uint32, oneway bool, r *protocol.Reader)
 	ev, err := q.EnqueueWriteBuffer(buf, false, offset, staged, append(waits, gate))
 	if err != nil {
 		releaseStaged()
-		s.replyErr(id, oneway, protocol.MsgEnqueueWrite, queueID, eventID, err)
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueWrite, err)
 		return
 	}
 	if cerr := ev.SetCallback(cl.Complete, func(cl.Event, cl.CommandStatus) {
@@ -989,10 +973,9 @@ func (s *session) handleEnqueueWrite(id uint32, oneway bool, r *protocol.Reader)
 		s.d.logf("daemon %s: write staging callback: %v", s.d.cfg.Name, cerr)
 	}
 	s.registerEvent(eventID, ev)
-	s.replyOK(id, oneway, protocol.MsgEnqueueWrite)
 }
 
-func (s *session) handleEnqueueRead(id uint32, oneway bool, r *protocol.Reader) {
+func (s *session) handleEnqueueRead(r *protocol.Reader) {
 	queueID := r.U64()
 	bufID := r.U64()
 	offset := int(r.I64())
@@ -1001,21 +984,21 @@ func (s *session) handleEnqueueRead(id uint32, oneway bool, r *protocol.Reader) 
 	eventID := r.U64()
 	waitIDs := r.U64s()
 	if r.Err() != nil {
-		s.badFrame(id, oneway, protocol.MsgEnqueueRead)
+		s.badFrame(0, true, protocol.MsgEnqueueRead)
 		return
 	}
-	// A failed one-way read must close the announced stream empty so a
-	// client blocked on the download unblocks (the real error follows as
-	// a MsgCommandFailed notification).
+	// A failed read must close the announced stream empty so a client
+	// blocked on the download unblocks (the real error follows as a
+	// MsgCommandFailed notification).
 	failRead := func(err error) {
-		if oneway && streamID != 0 {
+		if streamID != 0 {
 			st := s.ep.Stream(streamID)
 			if cerr := st.CloseWrite(); cerr != nil {
 				s.d.logf("daemon %s: read-back stream close: %v", s.d.cfg.Name, cerr)
 			}
 			st.Release()
 		}
-		s.replyErr(id, oneway, protocol.MsgEnqueueRead, queueID, eventID, err)
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueRead, err)
 	}
 	s.mu.Lock()
 	q := s.queues[queueID]
@@ -1069,10 +1052,9 @@ func (s *session) handleEnqueueRead(id uint32, oneway bool, r *protocol.Reader) 
 		return
 	}
 	s.registerEvent(eventID, ev)
-	s.replyOK(id, oneway, protocol.MsgEnqueueRead)
 }
 
-func (s *session) handleEnqueueCopy(id uint32, oneway bool, r *protocol.Reader) {
+func (s *session) handleEnqueueCopy(r *protocol.Reader) {
 	queueID := r.U64()
 	srcID := r.U64()
 	dstID := r.U64()
@@ -1082,7 +1064,7 @@ func (s *session) handleEnqueueCopy(id uint32, oneway bool, r *protocol.Reader) 
 	eventID := r.U64()
 	waitIDs := r.U64s()
 	if r.Err() != nil {
-		s.badFrame(id, oneway, protocol.MsgEnqueueCopy)
+		s.badFrame(0, true, protocol.MsgEnqueueCopy)
 		return
 	}
 	s.mu.Lock()
@@ -1091,24 +1073,23 @@ func (s *session) handleEnqueueCopy(id uint32, oneway bool, r *protocol.Reader) 
 	dst := s.buffers[dstID]
 	s.mu.Unlock()
 	if q == nil || src == nil || dst == nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueCopy, queueID, eventID, cl.Errf(cl.InvalidCommandQueue, "unknown queue or buffer"))
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueCopy, cl.Errf(cl.InvalidCommandQueue, "unknown queue or buffer"))
 		return
 	}
 	waits, err := s.resolveWaits(waitIDs)
 	if err != nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueCopy, queueID, eventID, err)
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueCopy, err)
 		return
 	}
 	ev, err := q.EnqueueCopyBuffer(src, dst, srcOff, dstOff, size, waits)
 	if err != nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueCopy, queueID, eventID, err)
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueCopy, err)
 		return
 	}
 	s.registerEvent(eventID, ev)
-	s.replyOK(id, oneway, protocol.MsgEnqueueCopy)
 }
 
-func (s *session) handleEnqueueKernel(id uint32, oneway bool, r *protocol.Reader) {
+func (s *session) handleEnqueueKernel(r *protocol.Reader) {
 	queueID := r.U64()
 	kernelID := r.U64()
 	goffset := r.Ints()
@@ -1117,7 +1098,7 @@ func (s *session) handleEnqueueKernel(id uint32, oneway bool, r *protocol.Reader
 	eventID := r.U64()
 	waitIDs := r.U64s()
 	if r.Err() != nil {
-		s.badFrame(id, oneway, protocol.MsgEnqueueKernel)
+		s.badFrame(0, true, protocol.MsgEnqueueKernel)
 		return
 	}
 	s.mu.Lock()
@@ -1125,12 +1106,12 @@ func (s *session) handleEnqueueKernel(id uint32, oneway bool, r *protocol.Reader
 	k := s.kernels[kernelID]
 	s.mu.Unlock()
 	if q == nil || k == nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueKernel, queueID, eventID, cl.Errf(cl.InvalidCommandQueue, "unknown queue or kernel"))
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueKernel, cl.Errf(cl.InvalidCommandQueue, "unknown queue or kernel"))
 		return
 	}
 	waits, err := s.resolveWaits(waitIDs)
 	if err != nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueKernel, queueID, eventID, err)
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueKernel, err)
 		return
 	}
 	if len(local) == 0 {
@@ -1141,54 +1122,51 @@ func (s *session) handleEnqueueKernel(id uint32, oneway bool, r *protocol.Reader
 	}
 	ev, err := q.EnqueueNDRangeKernelWithOffset(k, goffset, global, local, waits)
 	if err != nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueKernel, queueID, eventID, err)
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueKernel, err)
 		return
 	}
 	s.registerEvent(eventID, ev)
-	s.replyOK(id, oneway, protocol.MsgEnqueueKernel)
 }
 
-func (s *session) handleEnqueueMarker(id uint32, oneway bool, r *protocol.Reader) {
+func (s *session) handleEnqueueMarker(r *protocol.Reader) {
 	queueID := r.U64()
 	eventID := r.U64()
 	if r.Err() != nil {
-		s.badFrame(id, oneway, protocol.MsgEnqueueMarker)
+		s.badFrame(0, true, protocol.MsgEnqueueMarker)
 		return
 	}
 	s.mu.Lock()
 	q := s.queues[queueID]
 	s.mu.Unlock()
 	if q == nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueMarker, queueID, eventID, cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", queueID))
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueMarker, cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", queueID))
 		return
 	}
 	ev, err := q.EnqueueMarker()
 	if err != nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueMarker, queueID, eventID, err)
+		s.notifyCommandFailed(queueID, eventID, protocol.MsgEnqueueMarker, err)
 		return
 	}
 	s.registerEvent(eventID, ev)
-	s.replyOK(id, oneway, protocol.MsgEnqueueMarker)
 }
 
-func (s *session) handleEnqueueBarrier(id uint32, oneway bool, r *protocol.Reader) {
+func (s *session) handleEnqueueBarrier(r *protocol.Reader) {
 	queueID := r.U64()
 	if r.Err() != nil {
-		s.badFrame(id, oneway, protocol.MsgEnqueueBarrier)
+		s.badFrame(0, true, protocol.MsgEnqueueBarrier)
 		return
 	}
 	s.mu.Lock()
 	q := s.queues[queueID]
 	s.mu.Unlock()
 	if q == nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueBarrier, queueID, 0, cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", queueID))
+		s.notifyCommandFailed(queueID, 0, protocol.MsgEnqueueBarrier, cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", queueID))
 		return
 	}
 	if err := q.EnqueueBarrier(); err != nil {
-		s.replyErr(id, oneway, protocol.MsgEnqueueBarrier, queueID, 0, err)
+		s.notifyCommandFailed(queueID, 0, protocol.MsgEnqueueBarrier, err)
 		return
 	}
-	s.replyOK(id, oneway, protocol.MsgEnqueueBarrier)
 }
 
 func (s *session) handleFinish(id uint32, r *protocol.Reader) {
@@ -1211,24 +1189,23 @@ func (s *session) handleFinish(id uint32, r *protocol.Reader) {
 	}()
 }
 
-func (s *session) handleFlush(id uint32, oneway bool, r *protocol.Reader) {
+func (s *session) handleFlush(r *protocol.Reader) {
 	queueID := r.U64()
 	if r.Err() != nil {
-		s.badFrame(id, oneway, protocol.MsgFlush)
+		s.badFrame(0, true, protocol.MsgFlush)
 		return
 	}
 	s.mu.Lock()
 	q := s.queues[queueID]
 	s.mu.Unlock()
 	if q == nil {
-		s.replyErr(id, oneway, protocol.MsgFlush, queueID, 0, cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", queueID))
+		s.notifyCommandFailed(queueID, 0, protocol.MsgFlush, cl.Errf(cl.InvalidCommandQueue, "unknown queue %d", queueID))
 		return
 	}
 	if err := q.Flush(); err != nil {
-		s.replyErr(id, oneway, protocol.MsgFlush, queueID, 0, err)
+		s.notifyCommandFailed(queueID, 0, protocol.MsgFlush, err)
 		return
 	}
-	s.replyOK(id, oneway, protocol.MsgFlush)
 }
 
 func (s *session) handleCreateUserEvent(id uint32, r *protocol.Reader) {

@@ -160,12 +160,6 @@ type Handler func(msg []byte)
 type Endpoint struct {
 	conn net.Conn
 
-	// peer links the two halves of an in-process endpoint pair
-	// (NewLocalPair): when non-nil, conn is nil and every frame takes the
-	// local fast path in deliverLocal — no framing, no syscalls, no
-	// write/read loops. See local.go.
-	peer *Endpoint
-
 	// Outbound frames are coalesced into a deferred-flush batch: headers
 	// and small (copied) payloads are staged contiguously in wbuf, large
 	// owned payloads are REFERENCED in place (writev-style scatter-
@@ -234,11 +228,7 @@ func NewEndpoint(conn net.Conn, client bool) *Endpoint {
 func (e *Endpoint) Start(handler Handler, onClose func(error)) {
 	e.onClose = onClose
 	go e.dispatchLoop(handler)
-	if e.peer == nil {
-		// Local endpoints have no conn to read: the peer's deliverLocal
-		// feeds the message queue and stream buffers directly.
-		go e.readLoop()
-	}
+	go e.readLoop()
 }
 
 // Send transmits one message (channel-0 frame). It is safe for concurrent
@@ -280,9 +270,6 @@ func (e *Endpoint) writeFrameOwned(ch uint32, payload []byte, release func()) er
 func (e *Endpoint) queueFrame(ch uint32, payload []byte, owned bool, release func(), block bool) error {
 	if e.closed.Load() {
 		return ErrClosed
-	}
-	if e.peer != nil {
-		return e.deliverLocal(ch, payload, owned, release)
 	}
 	e.wmu.Lock()
 	if block {
@@ -537,9 +524,7 @@ func (e *Endpoint) shutdown(err error) {
 		case <-time.After(closeFlushTimeout):
 		}
 	}
-	if e.conn != nil {
-		e.conn.Close()
-	}
+	e.conn.Close()
 	e.streamMu.Lock()
 	for _, s := range e.streams {
 		s.closeRead(err)
@@ -551,11 +536,6 @@ func (e *Endpoint) shutdown(err error) {
 	close(e.done)
 	if e.onClose != nil {
 		e.onClose(err)
-	}
-	// An in-process link dies as a unit, like a conn close tearing down
-	// both ends: the CAS above terminates the mutual recursion.
-	if e.peer != nil {
-		e.peer.shutdown(err)
 	}
 }
 
@@ -569,11 +549,6 @@ func (e *Endpoint) shutdown(err error) {
 // solicited. Call at most once, after Start.
 func (e *Endpoint) StartHeartbeat(interval, timeout time.Duration) {
 	if interval <= 0 || timeout <= 0 {
-		return
-	}
-	if e.peer != nil {
-		// A process-local link cannot silently partition: it is alive
-		// exactly until one side calls Close, so probing is pointless.
 		return
 	}
 	if timeout < 2*interval {
@@ -689,22 +664,9 @@ type Stream struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	chunks []rchunk
+	chunks [][]byte // inbound frames from the frame pool, returned once consumed
 	offset int
 	rerr   error
-}
-
-// rchunk is one inbound chunk with explicit pool ownership: pooled
-// chunks came from the frame pool and are returned on full consumption;
-// non-pooled chunks (in-process handoffs of caller-owned slices) are
-// never returned — the cap-sniffing this replaces could alias a foreign
-// buffer into the pool. release (in-process WriteOwned hand-offs) fires
-// exactly once when the chunk is consumed or the stream is torn down,
-// handing the slice back to the writer.
-type rchunk struct {
-	p       []byte
-	pooled  bool
-	release func()
 }
 
 func newStream(e *Endpoint, id uint32) *Stream {
@@ -716,48 +678,21 @@ func newStream(e *Endpoint, id uint32) *Stream {
 // ID returns the stream's channel ID (announced in protocol messages).
 func (s *Stream) ID() uint32 { return s.id }
 
-// push appends inbound data (called from the endpoint read loop).
+// push appends a pooled inbound frame (called from the endpoint read
+// loop).
 func (s *Stream) push(p []byte) {
-	s.pushChunk(p, true)
-}
-
-// pushChunk appends inbound data with explicit pool ownership.
-func (s *Stream) pushChunk(p []byte, pooled bool) {
 	s.mu.Lock()
-	s.chunks = append(s.chunks, rchunk{p: p, pooled: pooled})
+	s.chunks = append(s.chunks, p)
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
 // closeRead terminates the read side with err (io.EOF for orderly close).
-// On an error close, undelivered in-process hand-off chunks are dropped
-// and their releases fired: nobody may ever drain this stream, and a
-// release parked forever would strand the writer's buffer — the local
-// analogue of the write loop's shutdown drain. The chunk is removed
-// before release runs (both under s.mu, which Read holds for its whole
-// body), so the writer reusing the slice can never race a reader's copy.
-// A partially-consumed head chunk stays readable and leaks its release
-// to the GC instead — the reader is mid-copy through it across Read
-// calls, so reclaiming it is never safe.
+// Data already received stays readable.
 func (s *Stream) closeRead(err error) {
 	s.mu.Lock()
 	if s.rerr == nil {
 		s.rerr = err
-	}
-	if err != io.EOF && len(s.chunks) > 0 {
-		kept := s.chunks[:0]
-		for i, c := range s.chunks {
-			if c.release == nil || (i == 0 && s.offset > 0) {
-				kept = append(kept, c)
-				continue
-			}
-			c.release()
-		}
-		tail := s.chunks[len(kept):]
-		for i := range tail {
-			tail[i] = rchunk{}
-		}
-		s.chunks = kept
 	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -777,18 +712,13 @@ func (s *Stream) Read(p []byte) (int, error) {
 	n := 0
 	for n < len(p) && len(s.chunks) > 0 {
 		c := s.chunks[0]
-		m := copy(p[n:], c.p[s.offset:])
+		m := copy(p[n:], c[s.offset:])
 		n += m
 		s.offset += m
-		if s.offset == len(c.p) {
+		if s.offset == len(c) {
 			s.chunks = s.chunks[1:]
 			s.offset = 0
-			if c.pooled {
-				putFrame(c.p)
-			}
-			if c.release != nil {
-				c.release()
-			}
+			putFrame(c)
 		}
 	}
 	return n, nil
@@ -888,9 +818,8 @@ func (s *Stream) WaitEOF() {
 }
 
 // Release drops the local bookkeeping for the stream. Call after both
-// sides are done with it. Unconsumed chunks are reclaimed here — pooled
-// frames re-enter their pool and in-process hand-offs get their release
-// callbacks — so an abandoned stream cannot strand writer buffers.
+// sides are done with it. Unconsumed frames re-enter their pool here, so
+// an abandoned stream does not pin them.
 func (s *Stream) Release() {
 	s.mu.Lock()
 	chunks := s.chunks
@@ -898,12 +827,7 @@ func (s *Stream) Release() {
 	s.offset = 0
 	s.mu.Unlock()
 	for _, c := range chunks {
-		if c.pooled {
-			putFrame(c.p)
-		}
-		if c.release != nil {
-			c.release()
-		}
+		putFrame(c)
 	}
 	s.e.forget(s.id)
 }

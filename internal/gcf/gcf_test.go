@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,6 +25,19 @@ func pair() (*Endpoint, *Endpoint, func()) {
 			_ = err
 		}
 	}
+}
+
+// pipePair connects two endpoints over a synchronous, unbuffered
+// net.Pipe: a write completes only once the peer's read loop takes it.
+func pipePair(t *testing.T) (client, server *Endpoint) {
+	t.Helper()
+	c, s := net.Pipe()
+	client, server = NewEndpoint(c, true), NewEndpoint(s, false)
+	t.Cleanup(func() {
+		client.Close()
+		server.Close()
+	})
+	return client, server
 }
 
 func TestMessagesPreserveOrder(t *testing.T) {
@@ -258,5 +273,105 @@ func TestConcurrentSenders(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("concurrent sends lost messages")
+	}
+}
+
+// TestMessageCopyOnSend: Send hands the slice back on return, so a
+// sender scribbling over it must not change a message in flight, and
+// messages arrive in send order.
+func TestMessageCopyOnSend(t *testing.T) {
+	client, server := pipePair(t)
+	msgs := make(chan []byte, 10)
+	server.Start(func(msg []byte) { msgs <- msg }, nil)
+	client.Start(func([]byte) {}, nil)
+	buf := make([]byte, 7)
+	for i := 0; i < 10; i++ {
+		copy(buf, "hello-")
+		buf[6] = '0' + byte(i)
+		if err := client.Send(buf); err != nil {
+			t.Fatal(err)
+		}
+		copy(buf, "XXXXXXX")
+	}
+	for i := 0; i < 10; i++ {
+		select {
+		case m := <-msgs:
+			if want := "hello-" + string(rune('0'+i)); string(m) != want {
+				t.Fatalf("message %d: got %q want %q", i, m, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("message %d never arrived", i)
+		}
+	}
+}
+
+// TestStreamWriteCopyOnSend: Stream.Write, like Send, returns ownership
+// of the slice on return.
+func TestStreamWriteCopyOnSend(t *testing.T) {
+	client, server := pipePair(t)
+	server.Start(func([]byte) {}, nil)
+	client.Start(func([]byte) {}, nil)
+	st := client.OpenStream()
+	data := bytes.Repeat([]byte{0xAB}, 10_000)
+	if _, err := st.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = 0xFF
+	}
+	if err := st.CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	ps := server.Stream(st.ID())
+	got, err := io.ReadAll(ps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, bytes.Repeat([]byte{0xAB}, 10_000)) {
+		t.Fatal("a write-after-send mutation reached the peer")
+	}
+	ps.Release()
+	st.Release()
+}
+
+// TestWriteOwnedReleaseOnShutdown: owned frames that can never be
+// flushed — the peer goes away while one batch is blocked on the wire and
+// another waits behind it — still hand their buffers back, exactly once.
+func TestWriteOwnedReleaseOnShutdown(t *testing.T) {
+	client, server := pipePair(t)
+	client.Start(func([]byte) {}, nil)
+	// The server is never started: nothing reads the pipe, so the write
+	// of the first payload (one frame, hence one batch) blocks.
+	st := client.OpenStream()
+	var inFlight, queued atomic.Int32
+	if err := st.WriteOwned(make([]byte, maxFrame), func() { inFlight.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		client.wmu.Lock()
+		taken := client.wpend == 0
+		client.wmu.Unlock()
+		if taken {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("write loop never took the first batch")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := st.WriteOwned(make([]byte, maxFrame*2), func() { queued.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	server.Close()
+	// The write loop exits only after its shutdown drain has run every
+	// pending release.
+	select {
+	case <-client.wdone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("client write loop survived its peer's close")
+	}
+	if a, b := inFlight.Load(), queued.Load(); a != 1 || b != 1 {
+		t.Fatalf("releases after shutdown: in-flight payload %d, queued payload %d, want 1 each", a, b)
 	}
 }

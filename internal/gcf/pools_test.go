@@ -195,20 +195,18 @@ func TestWriteOwnedReleaseExactlyOnce(t *testing.T) {
 }
 
 // TestStreamReleaseReclaimsUnread: a receiver abandoning a stream with
-// unconsumed chunks must reclaim them (firing in-process release
-// callbacks) rather than strand the writer's buffer.
+// unconsumed frames must hand them back to the frame pool and forget the
+// stream, rather than pin them in the endpoint's stream table.
 func TestStreamReleaseReclaimsUnread(t *testing.T) {
-	pa, pb := NewLocalPair()
+	pa, pb := pipePair(t)
 	pa.Start(func([]byte) {}, nil)
 	incoming := make(chan *Stream, 1)
 	pb.Start(func(msg []byte) {
 		id := uint32(msg[0])<<24 | uint32(msg[1])<<16 | uint32(msg[2])<<8 | uint32(msg[3])
 		incoming <- pb.Stream(id)
 	}, nil)
-	defer pa.Close()
-	defer pb.Close()
 
-	payload := bytes.Repeat([]byte{0xAB}, 128<<10)
+	payload := bytes.Repeat([]byte{0xAB}, maxFrame+(4<<10)) // two frames
 	var released atomic.Int32
 	st := pa.OpenStream()
 	id := st.ID()
@@ -229,16 +227,43 @@ func TestStreamReleaseReclaimsUnread(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("stream never arrived")
 	}
-	// Abandon without reading a byte.
-	rs.Release()
+	// Wait for the end-of-stream marker: both data frames are then parked
+	// on the stream, unread.
 	deadline := time.Now().Add(5 * time.Second)
-	for released.Load() == 0 {
+	for {
+		rs.mu.Lock()
+		eof, parked := rs.rerr == io.EOF, len(rs.chunks)
+		rs.mu.Unlock()
+		if eof {
+			if parked != 2 {
+				t.Fatalf("%d frames parked before Release, want 2", parked)
+			}
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("abandoned stream never released the writer's payload")
+			t.Fatal("end-of-stream never arrived")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if n := released.Load(); n != 1 {
-		t.Fatalf("release fired %d times", n)
+	// Abandon without reading a byte.
+	rs.Release()
+	rs.mu.Lock()
+	left := len(rs.chunks)
+	rs.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d frames still parked after Release", left)
+	}
+	pb.streamMu.Lock()
+	_, known := pb.streams[id]
+	pb.streamMu.Unlock()
+	if known {
+		t.Fatal("released stream still in the endpoint's stream table")
+	}
+	// The writer's release runs once its write loop is past the flush.
+	for released.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("writer release never fired")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -1,9 +1,7 @@
 package vm
 
 import (
-	"fmt"
 	"math"
-	"runtime"
 
 	"dopencl/internal/kernel"
 )
@@ -542,56 +540,6 @@ func (r *planRunner) runSegments() *TrapError {
 		}
 	}
 	return nil
-}
-
-// DispatchAllocsPerOp measures heap allocations per work-group dispatch
-// through the compiled engine on a warmed runner. The launch must
-// compile (no interpreter fallback). Used by the benchmark suite and CI
-// to enforce the zero-allocation inner loop.
-func DispatchAllocsPerOp(l Launch) (float64, error) {
-	if l.Prog == nil || l.Kernel == nil {
-		return 0, fmt.Errorf("vm: allocs probe needs a program and kernel")
-	}
-	plan := l.Prog.WorkGroup(l.Kernel)
-	if plan.Fallback != "" {
-		return 0, fmt.Errorf("vm: kernel %s falls back to the interpreter: %s", l.Kernel.Name, plan.Fallback)
-	}
-	local := l.LocalSize
-	if local == nil {
-		local = AutoLocalSize(l.GlobalSize)
-	}
-	numGroups := make([]int, len(l.GlobalSize))
-	totalGroups, itemsPerGroup := 1, 1
-	for d := range l.GlobalSize {
-		if local[d] <= 0 || l.GlobalSize[d]%local[d] != 0 {
-			return 0, fmt.Errorf("vm: global size not divisible by local size")
-		}
-		numGroups[d] = l.GlobalSize[d] / local[d]
-		totalGroups *= numGroups[d]
-		itemsPerGroup *= local[d]
-	}
-	var offset [3]int
-	copy(offset[:], l.GlobalOffset)
-	disp := &dispatch{
-		prog: l.Prog, fn: l.Kernel, args: l.Args,
-		global: l.GlobalSize, offset: offset, local: local, numGroups: numGroups,
-		itemsPerGroup: itemsPerGroup,
-	}
-	r := newPlanRunner(disp, plan)
-	if err := r.runGroup(0); err != nil {
-		return 0, err
-	}
-	const rounds = 64
-	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < rounds; i++ {
-		if err := r.runGroup(i % totalGroups); err != nil {
-			return 0, err
-		}
-	}
-	runtime.ReadMemStats(&m1)
-	return float64(m1.Mallocs-m0.Mallocs) / rounds, nil
 }
 
 // evalBuiltin evaluates a math builtin over slot images, mirroring the

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -51,13 +52,18 @@ func runEngines(t *testing.T, src, name string, extra []Arg, outLen int, sh laun
 // queries and guard-mixed groups (items of the same group surviving and
 // failing the bounds guard).
 func TestCoordinateBuiltinsAcrossEngines(t *testing.T) {
-	// Each work-item encodes its full coordinate view. The guard makes
-	// the tail of the range idle, so the last active group is "ragged":
-	// some of its items store, some do not.
+	// Each work-item encodes its full coordinate view into its own ten
+	// slots, indexed by the linearised global id so items that differ
+	// only in dims 1 and 2 never share a slot. The guard makes the tail
+	// of the range idle, so the last active group is "ragged": some of
+	// its items store, some do not.
 	src := `
 kernel void coords(global int* out, int n) {
 	int gid = get_global_id(0);
-	int base = (gid - get_global_offset(0)) * 10;
+	int lin = (gid - get_global_offset(0)) + get_global_size(0) *
+		((get_global_id(1) - get_global_offset(1)) + get_global_size(1) *
+			(get_global_id(2) - get_global_offset(2)));
+	int base = lin * 10;
 	if (gid - get_global_offset(0) < n) {
 		out[base + 0] = gid;
 		out[base + 1] = get_local_id(0);
@@ -587,7 +593,7 @@ func TestEstimateCostExtrapolation(t *testing.T) {
 func TestDispatchAllocsZero(t *testing.T) {
 	p := compile(t, speedupKernel)
 	fn := kernelFn(t, p, "spin")
-	allocs, err := DispatchAllocsPerOp(Launch{Prog: p, Kernel: fn,
+	allocs, err := dispatchAllocsPerOp(Launch{Prog: p, Kernel: fn,
 		Args:       []Arg{GlobalArg(make([]byte, 4*4096)), IntArg(64), IntArg(64), IntArg(20)},
 		GlobalSize: []int{4096}})
 	if err != nil {
@@ -596,6 +602,55 @@ func TestDispatchAllocsZero(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("fused dispatch allocates %.2f objects per work-group, want 0", allocs)
 	}
+}
+
+// dispatchAllocsPerOp measures heap allocations per work-group dispatch
+// through the compiled engine on a warmed runner. The launch must
+// compile (no interpreter fallback).
+func dispatchAllocsPerOp(l Launch) (float64, error) {
+	if l.Prog == nil || l.Kernel == nil {
+		return 0, fmt.Errorf("vm: allocs probe needs a program and kernel")
+	}
+	plan := l.Prog.WorkGroup(l.Kernel)
+	if plan.Fallback != "" {
+		return 0, fmt.Errorf("vm: kernel %s falls back to the interpreter: %s", l.Kernel.Name, plan.Fallback)
+	}
+	local := l.LocalSize
+	if local == nil {
+		local = AutoLocalSize(l.GlobalSize)
+	}
+	numGroups := make([]int, len(l.GlobalSize))
+	totalGroups, itemsPerGroup := 1, 1
+	for d := range l.GlobalSize {
+		if local[d] <= 0 || l.GlobalSize[d]%local[d] != 0 {
+			return 0, fmt.Errorf("vm: global size not divisible by local size")
+		}
+		numGroups[d] = l.GlobalSize[d] / local[d]
+		totalGroups *= numGroups[d]
+		itemsPerGroup *= local[d]
+	}
+	var offset [3]int
+	copy(offset[:], l.GlobalOffset)
+	disp := &dispatch{
+		prog: l.Prog, fn: l.Kernel, args: l.Args,
+		global: l.GlobalSize, offset: offset, local: local, numGroups: numGroups,
+		itemsPerGroup: itemsPerGroup,
+	}
+	r := newPlanRunner(disp, plan)
+	if err := r.runGroup(0); err != nil {
+		return 0, err
+	}
+	const rounds = 64
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < rounds; i++ {
+		if err := r.runGroup(i % totalGroups); err != nil {
+			return 0, err
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.Mallocs-m0.Mallocs) / rounds, nil
 }
 
 // BenchmarkFusedDispatch measures the steady-state fused dispatch inner
